@@ -28,6 +28,7 @@ cache keys on a content fingerprint.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
@@ -36,7 +37,6 @@ from repro.api.cost import CostModel, FeedbackStore
 from repro.api.planner import ExecutionPlan, QueryPlanner
 from repro.api.queries import LaggedQuery, TopKQuery
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
-from repro.core.basic_window import choose_basic_window_size
 from repro.core.engine import SlidingCorrelationEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.exceptions import QueryValidationError
@@ -231,16 +231,12 @@ class CorrelationSession:
                 "monitor's semantics)"
             )
         query.validate_against_length(self.matrix.length)
-        basic = choose_basic_window_size(
-            query.window, query.step, self.planner.basic_window_size
-        )
-        monitor = OnlineCorrelationMonitor(
+        # The monitor watches the range's columns from its own column 0.
+        monitor = OnlineCorrelationMonitor.for_query(
+            replace(query, start=0, end=query.end - query.start),
             num_series=self.matrix.num_series,
-            window=query.window,
-            step=query.step,
-            threshold=query.threshold,
-            basic_window_size=basic,
-            series_ids=list(self.matrix.series_ids),
+            basic_window_size=self.planner.basic_window_size,
+            series_ids=self.matrix.series_ids,
         )
         chunk = chunk_columns if chunk_columns is not None else query.step
         if chunk < 1:
@@ -251,9 +247,13 @@ class CorrelationSession:
             :, query.start : query.end
         ]
         for start in range(0, values.shape[1], chunk):
-            block = np.ascontiguousarray(values[:, start : start + chunk])
-            for emitted in monitor.append(block):
-                yield emitted
+            for emitted in monitor.append(values[:, start : start + chunk]):
+                # Report the matrix's own column indices, like ``run`` does.
+                yield replace(
+                    emitted,
+                    start=emitted.start + query.start,
+                    end=emitted.end + query.start,
+                )
 
     # ------------------------------------------------------------------ caching
     @property

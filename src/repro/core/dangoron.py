@@ -25,7 +25,8 @@ recall back at the cost of fewer skips.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +57,27 @@ from repro.core.result import (
 from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout
 from repro.exceptions import ParallelError, QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
+
+
+@dataclass
+class WindowLoop:
+    """What Dangoron's window loop carries from one window to the next.
+
+    The candidate pairs (parallel ``rows``/``cols``), the :class:`JumpScheduler`
+    holding each pair's next due window, the horizontal-pruning pivots (or
+    ``None``), and the work counters.  :meth:`DangoronEngine.run` drives one
+    over a fixed window count; the online monitor drives one whose scheduler
+    grows as windows complete.  ``dense_ok`` is ``False`` for pair subsets,
+    which must never recombine the full ``N x N`` matrix.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    scheduler: JumpScheduler
+    pivots: Optional[np.ndarray] = None
+    dense_ok: bool = True
+    pruned_horizontally: int = 0
+    pivot_evaluations: int = 0
 
 
 @register_engine
@@ -154,6 +176,130 @@ class DangoronEngine(SlidingCorrelationEngine):
             and self.seed is None
         )
 
+    def scan_window(
+        self,
+        loop: WindowLoop,
+        sketch: BasicWindowSketch,
+        query: SlidingQuery,
+        k: int,
+        *,
+        max_steps: int,
+    ) -> ThresholdedMatrix:
+        """Dangoron's per-window step (Fig. 2) for window ``k`` of ``query``.
+
+        Evaluates the pairs ``loop.scheduler`` has due at ``k`` (after
+        horizontal pruning, when ``loop`` carries pivots), keeps those the
+        query's threshold keeps, and schedules each below-threshold pair's
+        next evaluation with the Eq. 2 bound, looking at most ``max_steps``
+        windows ahead.  The caller sets that cap: :meth:`run` passes the
+        windows left in the query; the online monitor passes the steps whose
+        outgoing basic windows are already in its growing sketch.
+        """
+        layout = sketch.layout
+        n = sketch.num_series
+        rows, cols, scheduler = loop.rows, loop.cols, loop.scheduler
+        step_bw = query.step // layout.size
+        window_bw = query.window // layout.size
+        window_start_col = query.start + k * query.step
+        bw_first, _ = layout.covering(window_start_col, window_start_col + query.window)
+        corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
+        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
+        due = scheduler.due_indices(k)
+        eval_positions = due
+
+        # -------------------------------------------------- horizontal pruning
+        # Runs whenever any pair is due.  The decision per pair is a pure
+        # function of its own bound entry, so serial and sharded runs
+        # prune — and schedule — identically for any pair partition
+        # (a shard with no due pairs skips only the pivot evaluations).
+        if loop.pivots is not None and len(due) > 0:
+            pivots = loop.pivots
+            pivot_rows = np.repeat(pivots, n)
+            pivot_cols = np.tile(np.arange(n), len(pivots))
+            pivot_corrs = sketch.exact_pairs_scan(
+                pivot_rows, pivot_cols, bw_first, window_bw
+            ).reshape(len(pivots), n)
+            loop.pivot_evaluations += len(pivots) * n
+            lower, upper = triangle_bounds_from_pivots(pivot_corrs)
+            if absolute:
+                cannot_be_edge = (
+                    upper[rows[due], cols[due]] < query.threshold
+                ) & (-lower[rows[due], cols[due]] < query.threshold)
+            else:
+                cannot_be_edge = upper[rows[due], cols[due]] < query.threshold
+            pruned = due[cannot_be_edge]
+            eval_positions = due[~cannot_be_edge]
+            loop.pruned_horizontally += int(len(pruned))
+            if len(pruned):
+                if self.use_temporal_pruning and not absolute and max_steps >= 1:
+                    # The triangle upper bound is >= the true correlation,
+                    # so it is a valid (conservative) stand-in for Eq. 2.
+                    surrogate = upper[rows[pruned], cols[pruned]]
+                    jumps = first_possible_crossing(
+                        surrogate,
+                        query.threshold,
+                        corr_prefix,
+                        rows[pruned],
+                        cols[pruned],
+                        bw_first,
+                        step_bw,
+                        window_bw,
+                        max_steps,
+                        slack=self.slack,
+                    )
+                else:
+                    jumps = np.ones(len(pruned), dtype=np.int64)
+                scheduler.schedule_jumps(k, pruned, jumps)
+
+        # -------------------------------------------------------- exact values
+        if not len(eval_positions):
+            empty = np.empty(0, dtype=np.int64)
+            return ThresholdedMatrix(n, empty, empty, np.empty(0, dtype=FLOAT_DTYPE))
+        pair_rows = rows[eval_positions]
+        pair_cols = cols[eval_positions]
+        if self.prefix_combination:
+            if loop.dense_ok:
+                dense = sketch.exact_matrix_fast(bw_first, window_bw)
+                exact_vals = dense[pair_rows, pair_cols]
+            else:
+                exact_vals = sketch.exact_pairs_fast(
+                    pair_rows, pair_cols, bw_first, window_bw
+                )
+        elif loop.dense_ok and len(eval_positions) * 2 > len(rows):
+            # When most pairs are due (typically the first window) the dense
+            # recombination is cheaper than per-pair gathers and performs
+            # exactly the same amount of Eq. 1 work.  Pair subsets never take
+            # this path: a shard computing the full N x N matrix would
+            # multiply the window's work by the shard count.
+            dense = sketch.exact_matrix_scan(bw_first, window_bw)
+            exact_vals = dense[pair_rows, pair_cols]
+        else:
+            exact_vals = sketch.exact_pairs_scan(
+                pair_rows, pair_cols, bw_first, window_bw
+            )
+        scheduler.record_evaluations(k, eval_positions)
+
+        keep = query.keep_mask(exact_vals)
+        below = eval_positions[~keep]
+        if self.use_temporal_pruning and len(below) and max_steps >= 1:
+            crossing = (
+                first_possible_crossing_absolute if absolute else first_possible_crossing
+            )
+            jumps = crossing(
+                exact_vals[~keep],
+                query.threshold,
+                corr_prefix,
+                rows[below],
+                cols[below],
+                bw_first,
+                step_bw,
+                window_bw,
+                max_steps,
+                slack=self.slack,
+            )
+            scheduler.schedule_jumps(k, below, jumps)
+        return ThresholdedMatrix(n, pair_rows[keep], pair_cols[keep], exact_vals[keep])
+
     def run(
         self,
         matrix: TimeSeriesMatrix,
@@ -189,15 +335,11 @@ class DangoronEngine(SlidingCorrelationEngine):
             sketch_seconds = time.perf_counter() - build_start
             sketch_reused = 0.0
 
-        step_bw = query.step // layout.size
-        window_bw = query.window // layout.size
         num_windows = query.num_windows
-
         if pairs is not None:
             rows, cols = validate_pair_subset(pairs, n)
         else:
             rows, cols = np.triu_indices(n, k=1)
-        scheduler = JumpScheduler(len(rows), num_windows)
 
         pivots: Optional[np.ndarray] = None
         if self.use_horizontal_pruning:
@@ -206,162 +348,38 @@ class DangoronEngine(SlidingCorrelationEngine):
             pivots = select_pivots(
                 first_window, self.num_pivots, self.pivot_strategy, rng
             )
-
-        corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
-        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-
-        matrices: List[ThresholdedMatrix] = []
-        pruned_horizontally = 0
-        pivot_evaluations = 0
+        loop = WindowLoop(
+            rows, cols, JumpScheduler(len(rows), num_windows), pivots,
+            dense_ok=pairs is None,
+        )
+        if self.use_temporal_pruning:
+            # Materialize the Eq. 2 prefix outside the timed scan: it is
+            # sketch preparation, not per-window work.
+            sketch.corr_prefix
 
         query_start_time = time.perf_counter()
-        for k in range(num_windows):
-            window_start_col = query.start + k * query.step
-            bw_first, _ = layout.covering(
-                window_start_col, window_start_col + query.window
-            )
-            due = scheduler.due_indices(k)
-            eval_positions = due
-            max_steps = num_windows - 1 - k
-
-            # ---------------------------------------------- horizontal pruning
-            # Runs whenever any pair is due.  The decision per pair is a pure
-            # function of its own bound entry, so serial and sharded runs
-            # prune — and schedule — identically for any pair partition
-            # (a shard with no due pairs skips only the pivot evaluations).
-            if pivots is not None and len(due) > 0:
-                pivot_rows = np.repeat(pivots, n)
-                pivot_cols = np.tile(np.arange(n), len(pivots))
-                pivot_corrs = sketch.exact_pairs_scan(
-                    pivot_rows, pivot_cols, bw_first, window_bw
-                ).reshape(len(pivots), n)
-                pivot_evaluations += len(pivots) * n
-                lower, upper = triangle_bounds_from_pivots(pivot_corrs)
-                if absolute:
-                    cannot_be_edge = (
-                        upper[rows[due], cols[due]] < query.threshold
-                    ) & (-lower[rows[due], cols[due]] < query.threshold)
-                else:
-                    cannot_be_edge = upper[rows[due], cols[due]] < query.threshold
-                pruned = due[cannot_be_edge]
-                eval_positions = due[~cannot_be_edge]
-                pruned_horizontally += int(len(pruned))
-                if len(pruned):
-                    if (
-                        self.use_temporal_pruning
-                        and not absolute
-                        and max_steps >= 1
-                    ):
-                        # The triangle upper bound is >= the true correlation,
-                        # so it is a valid (conservative) stand-in for Eq. 2.
-                        surrogate = upper[rows[pruned], cols[pruned]]
-                        jumps = first_possible_crossing(
-                            surrogate,
-                            query.threshold,
-                            corr_prefix,
-                            rows[pruned],
-                            cols[pruned],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    else:
-                        jumps = np.ones(len(pruned), dtype=np.int64)
-                    scheduler.schedule_jumps(k, pruned, jumps)
-
-            # ---------------------------------------------------- exact values
-            window_rows = np.empty(0, dtype=np.int64)
-            window_cols = np.empty(0, dtype=np.int64)
-            window_vals = np.empty(0, dtype=FLOAT_DTYPE)
-            if len(eval_positions):
-                pair_rows = rows[eval_positions]
-                pair_cols = cols[eval_positions]
-                if self.prefix_combination:
-                    if pairs is None:
-                        dense = sketch.exact_matrix_fast(bw_first, window_bw)
-                        exact_vals = dense[pair_rows, pair_cols]
-                    else:
-                        exact_vals = sketch.exact_pairs_fast(
-                            pair_rows, pair_cols, bw_first, window_bw
-                        )
-                elif pairs is None and len(eval_positions) * 2 > len(rows):
-                    # When most pairs are due (typically the first window) the
-                    # dense recombination is cheaper than per-pair gathers and
-                    # performs exactly the same amount of Eq. 1 work.  Pair
-                    # subsets never take this path: a shard computing the full
-                    # N x N matrix would multiply the window's work by the
-                    # shard count.
-                    dense = sketch.exact_matrix_scan(bw_first, window_bw)
-                    exact_vals = dense[pair_rows, pair_cols]
-                else:
-                    exact_vals = sketch.exact_pairs_scan(
-                        pair_rows, pair_cols, bw_first, window_bw
-                    )
-                scheduler.record_evaluations(k, eval_positions)
-
-                keep = query.keep_mask(exact_vals)
-                window_rows = pair_rows[keep]
-                window_cols = pair_cols[keep]
-                window_vals = exact_vals[keep]
-
-                below = eval_positions[~keep]
-                if (
-                    self.use_temporal_pruning
-                    and len(below)
-                    and max_steps >= 1
-                ):
-                    below_vals = exact_vals[~keep]
-                    if absolute:
-                        jumps = first_possible_crossing_absolute(
-                            below_vals,
-                            query.threshold,
-                            corr_prefix,
-                            rows[below],
-                            cols[below],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    else:
-                        jumps = first_possible_crossing(
-                            below_vals,
-                            query.threshold,
-                            corr_prefix,
-                            rows[below],
-                            cols[below],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    scheduler.schedule_jumps(k, below, jumps)
-
-            matrices.append(
-                ThresholdedMatrix(n, window_rows, window_cols, window_vals)
-            )
+        matrices = [
+            self.scan_window(loop, sketch, query, k, max_steps=num_windows - 1 - k)
+            for k in range(num_windows)
+        ]
         query_seconds = time.perf_counter() - query_start_time
 
         stats = EngineStats(
             engine=self.describe(),
             num_series=n,
             num_windows=num_windows,
-            exact_evaluations=scheduler.stats.exact_evaluations,
-            skipped_by_jumping=scheduler.stats.skipped_evaluations,
-            pruned_horizontally=pruned_horizontally,
+            exact_evaluations=loop.scheduler.stats.exact_evaluations,
+            skipped_by_jumping=loop.scheduler.stats.skipped_evaluations,
+            pruned_horizontally=loop.pruned_horizontally,
             candidate_pairs=len(rows),
             sketch_build_seconds=sketch_seconds,
             query_seconds=query_seconds,
             extra={
                 "sketch_reused": sketch_reused,
-                "pivot_evaluations": float(pivot_evaluations),
+                "pivot_evaluations": float(loop.pivot_evaluations),
                 "basic_window_size": float(layout.size),
-                "num_basic_windows_per_window": float(window_bw),
-                "mean_jump_length": scheduler.stats.mean_jump_length(),
+                "num_basic_windows_per_window": float(query.window // layout.size),
+                "mean_jump_length": loop.scheduler.stats.mean_jump_length(),
                 "sketch_memory_bytes": float(sketch.memory_bytes()),
             },
         )

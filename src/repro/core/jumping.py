@@ -125,6 +125,26 @@ class JumpScheduler:
         self._next_due[pair_indices] = self.num_windows
         self.stats.skipped_evaluations += int(remaining) * int(len(pair_indices))
 
+    def grow(self, num_windows: int) -> None:
+        """Raise the window count to ``num_windows`` (a stream's windows
+        complete over time; the offline engine never calls this).
+
+        Pairs scheduled past the old final window skip the new windows before
+        their due index; those skips are counted here, so the statistics
+        always equal a fixed-count scheduler's over the same windows.  Parked
+        pairs become due again at the first new window.
+        """
+        if num_windows < self.num_windows:
+            raise QueryValidationError(
+                f"cannot shrink the window count from {self.num_windows} "
+                f"to {num_windows}"
+            )
+        newly_skipped = (
+            np.clip(self._next_due, self.num_windows, num_windows) - self.num_windows
+        )
+        self.stats.skipped_evaluations += int(newly_skipped.sum())
+        self.num_windows = num_windows
+
     def _check_window(self, window_index: int) -> None:
         if not 0 <= window_index < self.num_windows:
             raise QueryValidationError(

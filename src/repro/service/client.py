@@ -199,9 +199,9 @@ class ServiceClient:
         """``POST /datasets/{name}/append`` with an ``(N, k)`` column block.
 
         ``columns`` uses the library's matrix orientation (rows are series,
-        like :meth:`StreamIngestor.append <repro.streaming.stream
-        .StreamIngestor.append>`); the client transposes it to the wire's
-        one-list-per-time-step frame format.
+        like :meth:`OnlineCorrelationMonitor.append <repro.streaming.online
+        .OnlineCorrelationMonitor.append>`); the client transposes it to the
+        wire's one-list-per-time-step frame format.
         """
         block = np.asarray(columns, dtype=float)
         if block.ndim == 1:

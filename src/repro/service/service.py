@@ -110,7 +110,6 @@ class _StandingQuery:
         self.query = query
         self.monitor = monitor
         self.windows: Deque[Dict[str, object]] = deque(maxlen=WATCH_HISTORY_LIMIT)
-        self.emitted_windows = 0
 
     def feed(self, columns: np.ndarray) -> List[Dict[str, object]]:
         emitted = []
@@ -125,7 +124,6 @@ class _StandingQuery:
                 "values": window_edges.values.tolist(),
             }
             self.windows.append(document)
-            self.emitted_windows += 1
             emitted.append(document)
         return emitted
 
@@ -133,7 +131,7 @@ class _StandingQuery:
         return {
             "id": self.watch_id,
             "query": query_to_wire(self.query),
-            "emitted_windows": self.emitted_windows,
+            "emitted_windows": self.monitor.emitted_windows,
             "retained_windows": len(self.windows),
         }
 

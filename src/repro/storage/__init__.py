@@ -3,9 +3,8 @@
 The paper's pipeline separates a one-off precomputation phase ("pre-compute
 and store basic window statistics") from the pure query phase its evaluation
 times.  This subpackage is the stored side: :class:`ChunkStore` holds the raw
-columns, :class:`StatsIndex` holds the reusable basic-window statistics (and
-can be extended as new data arrives), and :class:`Catalog` ties the artefacts
-of many datasets together on disk.
+columns, :class:`StatsIndex` persists the reusable basic-window statistics,
+and :class:`Catalog` ties the artefacts of many datasets together on disk.
 """
 
 from repro.storage.cache import (

@@ -4,17 +4,17 @@ Dangoron and TSUBASA both rest on the idea that basic-window statistics are
 computed once, stored, and reused by every subsequent query ("we can
 pre-compute and store basic window statistics and calculate correlations for
 arbitrary query windows and sizes").  :class:`StatsIndex` is that stored
-artefact: it wraps a :class:`~repro.core.sketch.BasicWindowSketch`, knows how
-to persist itself to disk, can be *extended incrementally* when new columns
-arrive (the streaming path), and can materialize sketches restricted to a
-query range without touching raw data.
+artefact: it wraps a :class:`~repro.core.sketch.BasicWindowSketch` and knows
+how to persist itself to disk.  Growing statistics as new columns arrive is
+:meth:`BasicWindowSketch.extend <repro.core.sketch.BasicWindowSketch.extend>`'s
+job, not the index's.
 """
 
 from __future__ import annotations
 
 import zipfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -72,58 +72,6 @@ class StatsIndex:
 
     def memory_bytes(self) -> int:
         return self._sketch.memory_bytes()
-
-    # -------------------------------------------------------------- extension
-    def extend(self, new_columns: np.ndarray, previous_tail: Optional[np.ndarray] = None) -> int:
-        """Extend the index with newly arrived columns.
-
-        ``new_columns`` has shape ``(N, k)`` and is assumed to start exactly at
-        :attr:`covered_columns` + the length of ``previous_tail`` (columns that
-        arrived earlier but did not yet fill a complete basic window).  Only
-        complete new basic windows are appended; leftover columns are the
-        caller's responsibility to resubmit (the streaming layer keeps them).
-
-        Returns the number of basic windows appended.
-        """
-        new_columns = np.asarray(new_columns, dtype=FLOAT_DTYPE)
-        if previous_tail is not None and previous_tail.size:
-            previous_tail = np.asarray(previous_tail, dtype=FLOAT_DTYPE)
-            new_columns = np.concatenate([previous_tail, new_columns], axis=1)
-        if new_columns.ndim != 2 or new_columns.shape[0] != self.num_series:
-            raise StorageError(
-                f"extension columns must have shape ({self.num_series}, k), "
-                f"got {new_columns.shape}"
-            )
-        size = self.layout.size
-        complete = new_columns.shape[1] // size
-        if complete == 0:
-            return 0
-        usable = new_columns[:, : complete * size]
-        extension_layout = BasicWindowLayout(offset=0, size=size, count=complete)
-        extension = BasicWindowSketch.build(usable, extension_layout)
-
-        merged_layout = BasicWindowLayout(
-            offset=self.layout.offset,
-            size=size,
-            count=self.layout.count + complete,
-        )
-        self._sketch = BasicWindowSketch(
-            layout=merged_layout,
-            series_sums=np.concatenate(
-                [self._sketch.series_sums, extension.series_sums], axis=1
-            ),
-            series_sumsqs=np.concatenate(
-                [self._sketch.series_sumsqs, extension.series_sumsqs], axis=1
-            ),
-            pair_sumprods=np.concatenate(
-                [self._sketch.pair_sumprods, extension.pair_sumprods], axis=0
-            ),
-            pair_corrs=np.concatenate(
-                [self._sketch.pair_corrs, extension.pair_corrs], axis=0
-            ),
-            build_seconds=self._sketch.build_seconds + extension.build_seconds,
-        )
-        return complete
 
     # ------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> Path:

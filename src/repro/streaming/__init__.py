@@ -1,4 +1,8 @@
-"""Streaming substrate: ingestion, window bookkeeping, online monitoring (S8)."""
+"""Streaming: push-based correlation monitoring and alerting (S8).
+
+:class:`OnlineCorrelationMonitor` runs Dangoron's window loop over appended
+columns; :class:`NetworkChangeMonitor` turns its windows into typed alerts.
+"""
 
 from repro.streaming.monitor import (
     ALERT_DENSITY_JUMP,
@@ -9,8 +13,6 @@ from repro.streaming.monitor import (
     NetworkChangeMonitor,
 )
 from repro.streaming.online import OnlineCorrelationMonitor, OnlineWindowResult
-from repro.streaming.stream import StreamIngestor
-from repro.streaming.window_manager import SlidingWindowManager
 
 __all__ = [
     "ALERT_DENSITY_JUMP",
@@ -21,6 +23,4 @@ __all__ = [
     "NetworkChangeMonitor",
     "OnlineCorrelationMonitor",
     "OnlineWindowResult",
-    "SlidingWindowManager",
-    "StreamIngestor",
 ]

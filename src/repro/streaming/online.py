@@ -1,14 +1,16 @@
 """Online correlation-network monitoring over a live stream.
 
-:class:`OnlineCorrelationMonitor` combines the streaming substrate with the
-Dangoron pruning machinery: columns are appended as they arrive, the
-statistics index grows by whole basic windows, and whenever enough data is
+:class:`OnlineCorrelationMonitor` runs Dangoron's window loop over a stream:
+appended columns grow a basic-window sketch by whole basic windows
+(:meth:`~repro.core.sketch.BasicWindowSketch.extend`, with a residual buffer
+for the columns of a partial basic window), and whenever enough data is
 available to complete the next sliding window the monitor emits its
-thresholded correlation matrix.  Below-threshold pairs are scheduled into the
-future with the Eq. 2 bound exactly as in the offline engine — the outgoing
-basic windows needed by the bound are always in the past, so the bound is
-computable online — which keeps per-arrival work low once the network is
-sparse.
+thresholded correlation matrix through the offline engine's own per-window
+step (:meth:`~repro.core.dangoron.DangoronEngine.scan_window`).
+Below-threshold pairs are scheduled into the future with the Eq. 2 bound —
+the outgoing basic windows needed by the bound are always in the past, so the
+bound is computable online — which keeps per-arrival work low once the
+network is sparse.
 
 This is the "network construction and updates … interactivity" scenario from
 the paper's challenge list, packaged as a push-based API.
@@ -21,14 +23,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import DEFAULT_BASIC_WINDOW_SIZE, INDEX_DTYPE
-from repro.core.basic_window import choose_basic_window_size
-from repro.core.bounds import first_possible_crossing
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
+from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
+from repro.core.dangoron import DangoronEngine, WindowLoop
+from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_SIGNED, SlidingQuery
 from repro.core.result import ThresholdedMatrix
+from repro.core.sketch import BasicWindowSketch
+from repro.core.tiled import ColumnReblocker
 from repro.exceptions import StreamingError
-from repro.streaming.stream import StreamIngestor
-from repro.streaming.window_manager import SlidingWindowManager
 
 
 @dataclass
@@ -69,35 +72,36 @@ class OnlineCorrelationMonitor:
     basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE
     use_temporal_pruning: bool = True
     series_ids: Optional[Sequence[str]] = None
-    keep_raw: bool = False
-    _ingestor: StreamIngestor = field(init=False)
-    _manager: SlidingWindowManager = field(init=False)
-    _next_due: np.ndarray = field(init=False)
-    _rows: np.ndarray = field(init=False)
-    _cols: np.ndarray = field(init=False)
+    _engine: DangoronEngine = field(init=False)
+    _query: SlidingQuery = field(init=False)
+    _reblocker: ColumnReblocker = field(init=False)
+    _sketch: Optional[BasicWindowSketch] = field(init=False, default=None)
+    _loop: Optional[WindowLoop] = field(init=False, default=None)
+    _emitted: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.window % self.basic_window_size != 0:
+        if self.num_series < 1:
+            raise StreamingError(f"num_series must be positive, got {self.num_series}")
+        if self.basic_window_size < 2:
             raise StreamingError(
-                f"window ({self.window}) must be a multiple of the basic window "
-                f"size ({self.basic_window_size})"
+                f"basic_window_size must be at least 2, got {self.basic_window_size}"
             )
-        if self.step % self.basic_window_size != 0:
-            raise StreamingError(
-                f"step ({self.step}) must be a multiple of the basic window "
-                f"size ({self.basic_window_size})"
-            )
+        for name, value in (("window", self.window), ("step", self.step)):
+            if value < 1 or value % self.basic_window_size:
+                raise StreamingError(
+                    f"{name} ({value}) must be a positive multiple of the basic "
+                    f"window size ({self.basic_window_size})"
+                )
         if not -1.0 <= self.threshold <= 1.0:
             raise StreamingError(f"threshold must lie in [-1, 1], got {self.threshold}")
-        self._ingestor = StreamIngestor(
-            self.num_series,
+        self._engine = DangoronEngine(
             basic_window_size=self.basic_window_size,
-            series_ids=self.series_ids,
-            keep_raw=self.keep_raw,
+            use_temporal_pruning=self.use_temporal_pruning,
         )
-        self._manager = SlidingWindowManager(window=self.window, step=self.step)
-        self._rows, self._cols = np.triu_indices(self.num_series, k=1)
-        self._next_due = np.zeros(len(self._rows), dtype=INDEX_DTYPE)
+        # The per-window step reads only the window geometry and threshold
+        # semantics off the query; window k covers [k*step, k*step + window).
+        self._query = self.equivalent_query(self.window)
+        self._reblocker = ColumnReblocker(self.basic_window_size)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -107,7 +111,6 @@ class OnlineCorrelationMonitor:
         num_series: int,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
         series_ids: Optional[Sequence[str]] = None,
-        keep_raw: bool = False,
     ) -> "OnlineCorrelationMonitor":
         """Build a monitor answering a threshold query spec over a live stream.
 
@@ -144,88 +147,77 @@ class OnlineCorrelationMonitor:
             threshold=query.threshold,
             basic_window_size=basic,
             series_ids=list(series_ids) if series_ids is not None else None,
-            keep_raw=keep_raw,
         )
 
     # ------------------------------------------------------------------ ingest
     @property
     def emitted_windows(self) -> int:
-        return self._manager.emitted_windows
+        return self._emitted
 
     def append(self, columns: np.ndarray) -> List[OnlineWindowResult]:
-        """Feed new columns; returns results for every window that completed."""
-        self._ingestor.append(columns)
+        """Feed new columns; returns results for every window that completed.
+
+        ``columns`` has shape ``(num_series, k)``; a 1-D array is one column.
+        """
+        # A copy: the residual buffer outlives the call.
+        columns = np.array(columns, dtype=FLOAT_DTYPE)
+        if columns.ndim == 1:
+            columns = columns.reshape(-1, 1)
+        if columns.ndim != 2 or columns.shape[0] != self.num_series:
+            raise StreamingError(
+                f"appended columns must have shape ({self.num_series}, k), "
+                f"got {columns.shape}"
+            )
+        if not np.all(np.isfinite(columns)):
+            raise StreamingError("appended columns must be finite")
+
+        blocks = list(self._reblocker.feed(columns))
+        if blocks:
+            fresh = np.concatenate(blocks, axis=1)
+            if self._sketch is None:
+                layout = BasicWindowLayout(0, self.basic_window_size, len(blocks))
+                self._sketch = BasicWindowSketch.build(fresh, layout)
+            else:
+                self._sketch = self._sketch.extend(fresh)
+
         available = self.indexed_columns()
+        if available < self.window:
+            return []
+        complete = (available - self.window) // self.step + 1
+        if self._loop is None:
+            rows, cols = np.triu_indices(self.num_series, k=1)
+            self._loop = WindowLoop(rows, cols, JumpScheduler(len(rows), complete))
+        else:
+            self._loop.scheduler.grow(complete)
+
+        # Eq. 2 may look only as far ahead as the sketch has outgoing basic
+        # windows; pairs that reach the horizon re-enter when due.
+        step_bw = self.step // self.basic_window_size
+        horizon = self._sketch.layout.count // step_bw
+        stats = self._loop.scheduler.stats
         results = []
-        for k, begin, end in self._manager.newly_complete(available):
-            results.append(self._emit_window(k, begin, end))
+        for k in range(self._emitted, complete):
+            evaluated = stats.exact_evaluations
+            matrix = self._engine.scan_window(
+                self._loop, self._sketch, self._query, k, max_steps=horizon - k
+            )
+            evaluated = stats.exact_evaluations - evaluated
+            results.append(
+                OnlineWindowResult(
+                    window_index=k,
+                    start=k * self.step,
+                    end=k * self.step + self.window,
+                    matrix=matrix,
+                    exact_evaluations=evaluated,
+                    skipped_pairs=len(self._loop.rows) - evaluated,
+                )
+            )
+        self._emitted = complete
         return results
 
     def indexed_columns(self) -> int:
         """Number of columns currently covered by complete basic windows."""
-        return self._ingestor.indexed_basic_windows * self.basic_window_size
-
-    # ---------------------------------------------------------------- internal
-    def _emit_window(self, k: int, begin: int, end: int) -> OnlineWindowResult:
-        sketch = self._ingestor.index.sketch
-        bw_first = begin // self.basic_window_size
-        window_bw = self.window // self.basic_window_size
-        step_bw = self.step // self.basic_window_size
-
-        due_mask = self._next_due <= k
-        due = np.flatnonzero(due_mask)
-        skipped = int(len(self._rows) - len(due))
-
-        window_rows = np.empty(0, dtype=INDEX_DTYPE)
-        window_cols = np.empty(0, dtype=INDEX_DTYPE)
-        window_vals = np.empty(0)
-        if len(due):
-            values = sketch.exact_pairs_scan(
-                self._rows[due], self._cols[due], bw_first, window_bw
-            )
-            keep = values >= self.threshold
-            window_rows = self._rows[due][keep]
-            window_cols = self._cols[due][keep]
-            window_vals = values[keep]
-
-            self._next_due[due] = k + 1
-            below = due[~keep]
-            if self.use_temporal_pruning and len(below):
-                # The bound may look arbitrarily far ahead; cap the horizon at
-                # the number of future windows the already-indexed data could
-                # ever describe (more windows simply re-enter when due).
-                max_steps = max(1, sketch.layout.count)
-                jumps = first_possible_crossing(
-                    values[~keep],
-                    self.threshold,
-                    sketch.corr_prefix,
-                    self._rows[below],
-                    self._cols[below],
-                    bw_first,
-                    step_bw,
-                    window_bw,
-                    min(max_steps, self._safe_horizon(bw_first, step_bw, sketch)),
-                )
-                self._next_due[below] = k + jumps
-
-        matrix = ThresholdedMatrix(
-            self.num_series, window_rows, window_cols, window_vals
-        )
-        return OnlineWindowResult(
-            window_index=k,
-            start=begin,
-            end=end,
-            matrix=matrix,
-            exact_evaluations=int(len(due)),
-            skipped_pairs=skipped,
-        )
-
-    def _safe_horizon(
-        self, bw_first: int, step_bw: int, sketch
-    ) -> int:
-        """Largest number of window steps whose outgoing windows are already indexed."""
-        remaining_bw = sketch.layout.count - bw_first
-        return max(1, remaining_bw // step_bw)
+        return 0 if self._sketch is None else self._sketch.layout.covered_end
 
     # ------------------------------------------------------------------ helper
     def equivalent_query(self, total_columns: int) -> SlidingQuery:

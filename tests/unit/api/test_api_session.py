@@ -22,6 +22,7 @@ from repro.core.result import CorrelationSeriesResult
 from repro.core.topk import TopKResult, sliding_top_k
 from repro.exceptions import ExperimentError, QueryValidationError
 from repro.storage.cache import SketchCache
+from repro.timeseries.matrix import TimeSeriesMatrix
 
 
 @pytest.fixture
@@ -179,6 +180,17 @@ class TestStreaming:
         assert len(streamed) == batch.num_windows
         for emitted, window in zip(streamed, batch.matrices):
             assert emitted.matrix.edge_set() == window.edge_set()
+
+    def test_stream_reports_matrix_column_bounds(self):
+        rng = np.random.default_rng(11)
+        walk = TimeSeriesMatrix(np.cumsum(rng.normal(size=(6, 1024)), axis=1))
+        query = ThresholdQuery(start=128, end=1024, window=256, step=64, threshold=0.5)
+        streamed = list(CorrelationSession(walk).stream(query))
+        assert len(streamed) == query.num_windows
+        for emitted in streamed:
+            assert (emitted.start, emitted.end) == query.window_bounds(
+                emitted.window_index
+            )
 
     def test_stream_rejects_topk_and_lagged(self, session):
         with pytest.raises(QueryValidationError):

@@ -125,3 +125,57 @@ class TestSimulatedSchedule:
                 )
         assert list(evaluated) == list(evaluated_expected)
         assert scheduler.stats.skipped_evaluations == skipped_expected
+
+
+class TestGrowingScheduler:
+    """A stream's scheduler gains windows as they complete (the online monitor)."""
+
+    def test_grow_raises_the_window_count(self):
+        scheduler = JumpScheduler(3, 2)
+        scheduler.grow(5)
+        assert scheduler.num_windows == 5
+        assert list(scheduler.due_indices(4)) == [0, 1, 2]
+        scheduler.grow(5)  # no new window: a no-op
+        assert scheduler.num_windows == 5
+
+    def test_index_past_the_current_count_is_rejected(self):
+        scheduler = JumpScheduler(2, 3)
+        with pytest.raises(QueryValidationError):
+            scheduler.due_indices(3)
+        scheduler.grow(4)
+        assert list(scheduler.due_indices(3)) == [0, 1]
+        with pytest.raises(QueryValidationError):
+            scheduler.record_evaluations(4, np.array([0]))
+
+    def test_cannot_shrink(self):
+        scheduler = JumpScheduler(2, 4)
+        with pytest.raises(QueryValidationError):
+            scheduler.grow(3)
+
+    def test_skip_statistics_match_a_fixed_count_scheduler(self):
+        """Same decisions, windows revealed one at a time or all at once."""
+        rng = np.random.default_rng(3)
+        num_pairs, num_windows = 6, 12
+        jumps = rng.integers(1, 6, size=(num_windows, num_pairs))
+        fixed = JumpScheduler(num_pairs, num_windows)
+        growing = JumpScheduler(num_pairs, 1)
+        for k in range(num_windows):
+            growing.grow(k + 1)
+            for scheduler in (fixed, growing):
+                due = scheduler.due_indices(k)
+                scheduler.record_evaluations(k, due)
+                scheduler.schedule_jumps(k, due, jumps[k, due])
+            assert np.array_equal(fixed.next_due, growing.next_due)
+        assert growing.stats == fixed.stats
+        assert growing.stats.skipped_evaluations > 0
+
+    def test_growth_in_uneven_steps_counts_pending_skips(self):
+        scheduler = JumpScheduler(1, 2)
+        scheduler.record_evaluations(1, np.array([0]))
+        scheduler.schedule_jumps(1, np.array([0]), np.array([4]))  # due at 5
+        assert scheduler.stats.skipped_evaluations == 0  # no window past 1 yet
+        scheduler.grow(4)
+        assert scheduler.stats.skipped_evaluations == 2  # windows 2 and 3
+        scheduler.grow(9)
+        assert scheduler.stats.skipped_evaluations == 3  # ... and window 4
+        assert list(scheduler.due_indices(5)) == [0]

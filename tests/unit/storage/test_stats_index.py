@@ -30,45 +30,6 @@ class TestBuildAndQuery:
             StatsIndex.build(rng.normal(size=50), basic_window_size=10)
 
 
-class TestExtension:
-    def test_extend_matches_full_rebuild(self, rng):
-        data = rng.normal(size=(4, 160))
-        incremental = StatsIndex.build(data[:, :64], basic_window_size=16)
-        appended = incremental.extend(data[:, 64:160])
-        assert appended == 6
-        rebuilt = StatsIndex.build(data, basic_window_size=16)
-        assert incremental.layout.count == rebuilt.layout.count
-        assert np.allclose(
-            incremental.sketch.series_sums, rebuilt.sketch.series_sums
-        )
-        assert np.allclose(
-            incremental.sketch.pair_sumprods, rebuilt.sketch.pair_sumprods
-        )
-        assert np.allclose(
-            incremental.sketch.exact_matrix_scan(0, 10),
-            rebuilt.sketch.exact_matrix_scan(0, 10),
-        )
-
-    def test_extend_with_incomplete_window_appends_nothing(self, rng):
-        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
-        assert index.extend(rng.normal(size=(3, 10))) == 0
-        assert index.layout.count == 2
-
-    def test_extend_with_previous_tail(self, rng):
-        data = rng.normal(size=(3, 64))
-        index = StatsIndex.build(data[:, :32], basic_window_size=16)
-        tail = data[:, 32:40]
-        appended = index.extend(data[:, 40:64], previous_tail=tail)
-        assert appended == 2
-        rebuilt = StatsIndex.build(data, basic_window_size=16)
-        assert np.allclose(index.sketch.series_sums, rebuilt.sketch.series_sums)
-
-    def test_extend_shape_mismatch(self, rng):
-        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
-        with pytest.raises(StorageError):
-            index.extend(rng.normal(size=(4, 16)))
-
-
 class TestPersistence:
     def test_save_load_round_trip(self, rng, tmp_path):
         data = rng.normal(size=(4, 96))
