@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import StorageError
+from repro.core.tiled import ColumnReblocker
+from repro.exceptions import SketchError, StorageError
 from repro.storage.stats_index import StatsIndex
 
 
@@ -28,6 +29,56 @@ class TestBuildAndQuery:
     def test_build_requires_2d(self, rng):
         with pytest.raises(StorageError):
             StatsIndex.build(rng.normal(size=50), basic_window_size=10)
+
+
+class TestExtension:
+    """The index grows by extending its sketch with whole basic windows."""
+
+    def test_extend_matches_full_rebuild(self, rng):
+        data = rng.normal(size=(4, 160))
+        incremental = StatsIndex.build(data[:, :64], basic_window_size=16)
+        extended = StatsIndex(incremental.sketch.extend(data[:, 64:160]))
+        assert extended.layout.count - incremental.layout.count == 6
+        rebuilt = StatsIndex.build(data, basic_window_size=16)
+        assert extended.layout == rebuilt.layout
+        assert np.array_equal(
+            extended.sketch.series_sums, rebuilt.sketch.series_sums
+        )
+        assert np.array_equal(
+            extended.sketch.pair_sumprods, rebuilt.sketch.pair_sumprods
+        )
+        assert np.array_equal(
+            extended.sketch.exact_matrix_scan(0, 10),
+            rebuilt.sketch.exact_matrix_scan(0, 10),
+        )
+
+    def test_extend_with_incomplete_window_appends_nothing(self, rng):
+        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
+        partial = rng.normal(size=(3, 10))
+        # A partial basic window waits in the residual buffer ...
+        assert list(ColumnReblocker(16).feed(partial)) == []
+        # ... because the sketch only absorbs whole basic windows.
+        with pytest.raises(SketchError):
+            index.sketch.extend(partial)
+        assert index.layout.count == 2
+
+    def test_extend_with_previous_tail(self, rng):
+        data = rng.normal(size=(3, 64))
+        index = StatsIndex.build(data[:, :32], basic_window_size=16)
+        reblocker = ColumnReblocker(16)
+        assert list(reblocker.feed(data[:, 32:40])) == []  # buffered tail
+        blocks = list(reblocker.feed(data[:, 40:64]))
+        assert len(blocks) == 2
+        extended = StatsIndex(index.sketch.extend(np.concatenate(blocks, axis=1)))
+        rebuilt = StatsIndex.build(data, basic_window_size=16)
+        assert np.array_equal(
+            extended.sketch.series_sums, rebuilt.sketch.series_sums
+        )
+
+    def test_extend_shape_mismatch(self, rng):
+        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
+        with pytest.raises(SketchError):
+            index.sketch.extend(rng.normal(size=(4, 16)))
 
 
 class TestPersistence:

@@ -80,7 +80,8 @@ class TestOnlineMonitor:
 
 
 class TestMonitorInput:
-    """Column intake: validation, the residual buffer and window emission."""
+    """Column intake edge cases; input checks and window emission are
+    covered in test_stream.py and test_window_manager.py."""
 
     def make_monitor(self, num_series=3, **overrides):
         params = dict(
@@ -89,66 +90,6 @@ class TestMonitorInput:
         )
         params.update(overrides)
         return OnlineCorrelationMonitor(**params)
-
-    def test_shape_and_value_validation(self, rng):
-        monitor = self.make_monitor()
-        with pytest.raises(StreamingError, match="shape"):
-            monitor.append(rng.normal(size=(2, 8)))  # wrong series count
-        with pytest.raises(StreamingError, match="shape"):
-            monitor.append(rng.normal(size=(3, 8, 1)))  # not 2-D
-        with pytest.raises(StreamingError, match="finite"):
-            monitor.append(np.full((3, 4), np.nan))
-        with pytest.raises(StreamingError, match="finite"):
-            monitor.append(np.array([1.0, np.inf, 0.0]))
-        assert monitor.indexed_columns() == 0  # rejected input never lands
-
-    def test_constructor_validation(self):
-        with pytest.raises(StreamingError, match="num_series"):
-            self.make_monitor(num_series=0)
-        with pytest.raises(StreamingError, match="basic_window_size"):
-            self.make_monitor(basic_window_size=1)
-        with pytest.raises(StreamingError, match="window"):
-            self.make_monitor(window=0)
-        with pytest.raises(StreamingError, match="step"):
-            self.make_monitor(step=0)
-
-    def test_index_grows_with_complete_basic_windows(self, rng):
-        monitor = self.make_monitor(basic_window_size=16)
-        assert monitor.append(rng.normal(size=(3, 10))) == []
-        assert monitor.indexed_columns() == 0
-        monitor.append(rng.normal(size=(3, 10)))
-        assert monitor.indexed_columns() == 16  # 4 columns stay buffered
-        monitor.append(rng.normal(size=(3, 12)))
-        assert monitor.indexed_columns() == 32
-
-    def test_single_column_appends(self, rng):
-        data = rng.normal(size=(3, 70))
-        one_by_one = self.make_monitor(threshold=-1.0)  # every pair is an edge
-        emitted = []
-        for t in range(data.shape[1]):
-            emitted.extend(one_by_one.append(data[:, t]))
-        whole = self.make_monitor(threshold=-1.0).append(data)
-        assert one_by_one.indexed_columns() == 64
-        assert [r.window_index for r in emitted] == [0, 1, 2]
-        for streamed, batch in zip(emitted, whole):
-            assert np.array_equal(streamed.matrix.values, batch.matrix.values)
-
-    def test_windows_appear_as_data_arrives(self, rng):
-        monitor = self.make_monitor()
-        assert monitor.append(rng.normal(size=(3, 31))) == []
-        bounds = lambda results: [(r.window_index, r.start, r.end) for r in results]
-        assert bounds(monitor.append(rng.normal(size=(3, 1)))) == [(0, 0, 32)]
-        assert bounds(monitor.append(rng.normal(size=(3, 15)))) == []
-        assert bounds(monitor.append(rng.normal(size=(3, 33)))) == [
-            (1, 16, 48), (2, 32, 64), (3, 48, 80),
-        ]
-        assert monitor.emitted_windows == 4
-
-    def test_windows_never_reemitted(self, rng):
-        monitor = self.make_monitor()
-        assert len(monitor.append(rng.normal(size=(3, 64)))) == 3
-        assert monitor.append(np.empty((3, 0))) == []
-        assert monitor.emitted_windows == 3
 
     def test_caller_buffer_reuse_does_not_leak_into_the_residual(self, rng):
         data = rng.normal(size=(3, 64))

@@ -1,76 +1,97 @@
-"""Unit tests for the streaming ingestor."""
+"""Unit tests for stream intake: the online monitor's input checks and index.
+
+Appended columns grow the monitor's basic-window sketch by whole basic
+windows; the columns of a partial basic window wait in a residual buffer.
+"""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import StreamingError
+from repro.exceptions import SketchError, StreamingError
 from repro.storage.stats_index import StatsIndex
-from repro.streaming.stream import StreamIngestor
+from repro.streaming.online import OnlineCorrelationMonitor
+
+
+def make_monitor(num_series=3, **overrides):
+    params = dict(
+        num_series=num_series, window=32, step=16, threshold=0.5,
+        basic_window_size=8,
+    )
+    params.update(overrides)
+    return OnlineCorrelationMonitor(**params)
 
 
 class TestStreamIngestor:
     def test_index_grows_with_complete_basic_windows(self, rng):
-        ingestor = StreamIngestor(num_series=4, basic_window_size=16)
-        assert ingestor.append(rng.normal(size=(4, 10))) == 0
-        assert ingestor.pending_columns == 10
-        assert ingestor.indexed_basic_windows == 0
-        assert ingestor.append(rng.normal(size=(4, 10))) == 1
-        assert ingestor.pending_columns == 4
-        assert ingestor.indexed_basic_windows == 1
-        assert ingestor.ingested_columns == 20
+        monitor = make_monitor(basic_window_size=16)
+        assert monitor.append(rng.normal(size=(3, 10))) == []
+        assert monitor.indexed_columns() == 0
+        monitor.append(rng.normal(size=(3, 10)))
+        assert monitor.indexed_columns() == 16  # 4 columns stay buffered
+        monitor.append(rng.normal(size=(3, 12)))
+        assert monitor.indexed_columns() == 32
 
     def test_index_matches_batch_build(self, rng):
         data = rng.normal(size=(5, 128))
-        ingestor = StreamIngestor(num_series=5, basic_window_size=32)
+        monitor = make_monitor(5, threshold=-1.0)  # every pair is an edge
+        emitted = []
         for start in range(0, 128, 20):
-            ingestor.append(data[:, start : start + 20])
-        batch = StatsIndex.build(data, basic_window_size=32)
-        assert ingestor.indexed_basic_windows == batch.layout.count
-        assert np.allclose(
-            ingestor.index.sketch.exact_matrix_scan(0, 4),
-            batch.sketch.exact_matrix_scan(0, 4),
-        )
-
-    def test_raw_store_retains_everything(self, rng):
-        data = rng.normal(size=(3, 70))
-        ingestor = StreamIngestor(num_series=3, basic_window_size=16, keep_raw=True)
-        ingestor.append(data)
-        assert np.allclose(ingestor.store.read_all(), data)
-
-    def test_keep_raw_false_drops_store(self, rng):
-        ingestor = StreamIngestor(num_series=3, basic_window_size=16, keep_raw=False)
-        ingestor.append(rng.normal(size=(3, 32)))
-        assert ingestor.store is None
-        assert ingestor.indexed_basic_windows == 2
+            emitted.extend(monitor.append(data[:, start : start + 20]))
+        batch = StatsIndex.build(data, basic_window_size=8)
+        assert monitor.indexed_columns() == batch.covered_columns
+        assert len(emitted) == 7
+        for result in emitted:
+            first = result.start // 8
+            expected = batch.sketch.exact_matrix_scan(first, 32 // 8)
+            rows, cols = result.matrix.rows, result.matrix.cols
+            assert np.array_equal(result.matrix.values, expected[rows, cols])
 
     def test_index_before_first_window_raises(self, rng):
-        ingestor = StreamIngestor(num_series=2, basic_window_size=16)
-        ingestor.append(rng.normal(size=(2, 5)))
-        with pytest.raises(StreamingError):
-            _ = ingestor.index
+        data = rng.normal(size=(2, 5))
+        monitor = make_monitor(2, basic_window_size=16, window=32, step=16)
+        assert monitor.append(data) == []
+        assert monitor.indexed_columns() == 0
+        # The monitor indexes nothing because no index can cover fewer
+        # columns than one basic window.
+        with pytest.raises(SketchError):
+            StatsIndex.build(data, basic_window_size=16)
 
     def test_appended_history_boundaries(self, rng):
-        ingestor = StreamIngestor(num_series=2, basic_window_size=8)
-        assert ingestor.appended_history() == []
-        ingestor.append(rng.normal(size=(2, 20)))
-        assert ingestor.appended_history() == [0, 8, 16]
+        monitor = make_monitor(2, basic_window_size=8)
+        assert monitor.indexed_columns() == 0
+        boundaries = []
+        for width in (20, 3, 1, 9):
+            monitor.append(rng.normal(size=(2, width)))
+            boundaries.append(monitor.indexed_columns())
+        # Coverage always ends on a basic-window boundary.
+        assert boundaries == [16, 16, 24, 32]
 
     def test_shape_and_value_validation(self, rng):
-        ingestor = StreamIngestor(num_series=3, basic_window_size=8)
-        with pytest.raises(StreamingError):
-            ingestor.append(rng.normal(size=(2, 8)))
-        with pytest.raises(StreamingError):
-            ingestor.append(np.full((3, 4), np.nan))
+        monitor = make_monitor()
+        with pytest.raises(StreamingError, match="shape"):
+            monitor.append(rng.normal(size=(2, 8)))  # wrong series count
+        with pytest.raises(StreamingError, match="shape"):
+            monitor.append(rng.normal(size=(3, 8, 1)))  # not 2-D
+        with pytest.raises(StreamingError, match="finite"):
+            monitor.append(np.full((3, 4), np.nan))
+        with pytest.raises(StreamingError, match="finite"):
+            monitor.append(np.array([1.0, np.inf, 0.0]))
+        assert monitor.indexed_columns() == 0  # rejected input never lands
 
     def test_constructor_validation(self):
-        with pytest.raises(StreamingError):
-            StreamIngestor(num_series=0)
-        with pytest.raises(StreamingError):
-            StreamIngestor(num_series=2, basic_window_size=1)
+        with pytest.raises(StreamingError, match="num_series"):
+            make_monitor(num_series=0)
+        with pytest.raises(StreamingError, match="basic_window_size"):
+            make_monitor(basic_window_size=1)
 
     def test_single_column_appends(self, rng):
-        ingestor = StreamIngestor(num_series=2, basic_window_size=4)
-        for _ in range(9):
-            ingestor.append(rng.normal(size=2))
-        assert ingestor.indexed_basic_windows == 2
-        assert ingestor.pending_columns == 1
+        data = rng.normal(size=(3, 70))
+        one_by_one = make_monitor(threshold=-1.0)  # every pair is an edge
+        emitted = []
+        for t in range(data.shape[1]):
+            emitted.extend(one_by_one.append(data[:, t]))
+        whole = make_monitor(threshold=-1.0).append(data)
+        assert one_by_one.indexed_columns() == 64
+        assert [r.window_index for r in emitted] == [0, 1, 2]
+        for streamed, batch in zip(emitted, whole):
+            assert np.array_equal(streamed.matrix.values, batch.matrix.values)
