@@ -96,7 +96,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._write_json(status, {"error": {"type": error_type, "message": message}})
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        # A non-numeric length is a client mistake, not a server fault, and a
+        # negative one would make ``rfile.read`` wait for the client to hang up.
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} byte cap",

@@ -504,7 +504,7 @@ class CorrelationService:
     memory_budget:
         Bytes a dataset's sketch build may hold resident at once; larger
         datasets stream through the tiled builder (bit-identical results,
-        invisible to ``repro.result/v1`` clients).  ``None`` keeps every
+        invisible to ``repro.result/v2`` clients).  ``None`` keeps every
         build dense.
     write_buffer_columns, write_buffer_seconds:
         Bounded write buffer for sustained append streams: accepted columns
@@ -1031,7 +1031,7 @@ class CorrelationService:
             return
         if result is None:
             # Pooled scan: rebuild the result object from the wire document.
-            # ``repro.result/v1`` round-trips bit-identically, so the derived
+            # ``repro.result/v2`` round-trips bit-identically, so the derived
             # members are exactly what an inline scan would have produced.
             result = result_from_wire(floor_payload)
         for member in others:

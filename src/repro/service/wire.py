@@ -3,11 +3,11 @@
 The service speaks the same objects the library does — query specs in,
 results implementing ``describe``/``iter_windows``/``to_edges`` out — so this
 module is a *bijection*, not a lossy view: ``result_from_wire(result_to_wire(r))``
-reconstructs a result that is bit-identical to ``r`` (JSON round-trips Python
-floats exactly via their shortest repr), which is what lets a client assert
-equality with an in-process :class:`~repro.api.CorrelationSession` run.
+reconstructs a result whose arrays are byte-identical to ``r``'s, which is
+what lets a client assert equality with an in-process
+:class:`~repro.api.CorrelationSession` run.
 
-Wire documents are versioned under ``schema = "repro.result/v1"``.  Every
+Wire documents are versioned under ``schema = "repro.result/v2"``.  Every
 result document carries:
 
 ``kind``
@@ -19,12 +19,17 @@ result document carries:
 ``num_windows``, ``num_series``, ``describe``
     Redundant summaries so dashboards can render without decoding windows.
 ``windows``
-    The per-window payloads: sparse ``rows``/``cols``/``values`` triples for
-    threshold and top-k results, dense ``best_corr``/``best_lag`` matrices
-    for lagged results.
+    One columnar object for the whole result.  Threshold and top-k results
+    send ``index`` and ``counts`` (one entry per window) plus ``rows``,
+    ``cols`` (``<u4``) and ``values`` (``<f8``): base64 buffers holding
+    every window's entries back to back.  Lagged results send ``index`` plus
+    ``best_corr`` (``<f8``) and ``best_lag`` (``<i8``), each one
+    ``(num_windows, num_series, num_series)`` buffer.  All buffers are
+    little-endian.
 ``edges`` (optional)
     The flattened ``to_edges()`` records as ``[window, source, target,
-    weight, lag]`` rows, included when serialized with ``include_edges=True``.
+    weight, lag]`` rows, included when serialized with ``include_edges=True``
+    — the human-readable form of the same answer.
 
 The exact field lists are documented with JSON examples in
 ``docs/service.md``.
@@ -32,7 +37,9 @@ The exact field lists are documented with JSON examples in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+import base64
+import binascii
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,10 +49,10 @@ from repro.core.lag import LagMatrices
 from repro.core.query import SlidingQuery, THRESHOLD_SIGNED
 from repro.core.result import CorrelationSeriesResult, Edge, EngineStats, ThresholdedMatrix
 from repro.core.topk import TopKResult, TopKWindow
-from repro.exceptions import ServiceError
+from repro.exceptions import DataValidationError, ServiceError
 
 #: Version tag stamped on (and required from) every result document.
-RESULT_SCHEMA = "repro.result/v1"
+RESULT_SCHEMA = "repro.result/v2"
 
 _MODES = ("threshold", "topk", "lagged")
 
@@ -196,45 +203,105 @@ def edges_from_wire(rows: Sequence[Sequence[object]]) -> List[Edge]:
 
 AnyResult = Union[CorrelationSeriesResult, TopKResult, LaggedSeriesResult]
 
+#: Item types of the packed buffers: indices, correlations and lags.
+_INDEX_WIRE, _VALUE_WIRE, _LAG_WIRE = "<u4", "<f8", "<i8"
+
+
+def _malformed(reason: str) -> ServiceError:
+    return ServiceError(f"malformed result document: {reason}")
+
+
+def _pack(arrays: Sequence[np.ndarray], wire_dtype: str) -> str:
+    """Concatenate ``arrays`` (each flattened, in order) into one base64 buffer.
+
+    The items are stored as the fixed little-endian ``wire_dtype`` whatever
+    the host's byte order.  Series indices fit ``<u4``: a result over 2**32
+    series could not be computed, let alone held.
+    """
+    wire = np.dtype(wire_dtype)
+    flat = (np.concatenate([np.ravel(a) for a in arrays]) if len(arrays)
+            else np.empty(0, dtype=wire))
+    return base64.b64encode(flat.astype(wire, copy=False).tobytes()).decode("ascii")
+
+
+def _unpack(
+    text: object,
+    wire_dtype: str,
+    dtype: type,
+    sizes: Sequence[int],
+    shape: Tuple[int, ...] = (-1,),
+) -> List[np.ndarray]:
+    """Split a :func:`_pack` buffer into one array per entry of ``sizes``.
+
+    Each array is an owned, writeable ``dtype`` copy reshaped to ``shape``.
+    Text that is not base64, or a byte length that is not a whole number of
+    items or disagrees with ``sum(sizes)``, raises :class:`ServiceError`.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as error:
+        raise _malformed(f"{wire_dtype} buffer is not base64: {error}") from error
+    wire = np.dtype(wire_dtype)
+    if len(raw) % wire.itemsize:
+        raise _malformed(
+            f"{wire_dtype} buffer of {len(raw)} bytes is not a whole number "
+            f"of {wire.itemsize}-byte items"
+        )
+    flat = np.frombuffer(raw, dtype=wire)
+    if len(flat) != sum(sizes):
+        raise _malformed(
+            f"{wire_dtype} buffer holds {len(flat)} items, the windows declare {sum(sizes)}"
+        )
+    if not sizes:
+        return []
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    return [np.array(piece.reshape(shape), dtype=dtype) for piece in pieces]
+
+
+def _pack_sparse(index: Sequence[int], windows: Sequence[object]) -> Dict[str, object]:
+    """The ``windows`` object of a threshold or top-k result."""
+    return {
+        "index": list(index),
+        "counts": [len(w.values) for w in windows],
+        "rows": _pack([w.rows for w in windows], _INDEX_WIRE),
+        "cols": _pack([w.cols for w in windows], _INDEX_WIRE),
+        "values": _pack([w.values for w in windows], _VALUE_WIRE),
+    }
+
+
+def _unpack_sparse(windows: Dict[str, object], num_windows: int):
+    """``(rows, cols, values)`` per window of a :func:`_pack_sparse` object."""
+    counts = [int(c) for c in windows["counts"]]
+    if len(counts) != num_windows:
+        raise _malformed(f"{num_windows} window indices but {len(counts)} counts")
+    if any(c < 0 for c in counts):
+        raise _malformed(f"window counts must be non-negative, got {min(counts)}")
+    rows = _unpack(windows["rows"], _INDEX_WIRE, np.int64, counts)
+    cols = _unpack(windows["cols"], _INDEX_WIRE, np.int64, counts)
+    values = _unpack(windows["values"], _VALUE_WIRE, np.float64, counts)
+    return zip(rows, cols, values)
+
 
 def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, object]:
     """Serialize any unified-protocol result to its versioned wire document."""
     kind = getattr(result, "kind", None)
     if kind == "threshold":
-        windows = [
-            {
-                "index": k,
-                "rows": edges.rows.tolist(),
-                "cols": edges.cols.tolist(),
-                "values": edges.values.tolist(),
-            }
-            for k, edges in result.iter_windows()
-        ]
+        pairs = list(result.iter_windows())
+        windows = _pack_sparse([k for k, _ in pairs], [m for _, m in pairs])
         extras: Dict[str, object] = {
             "num_series": result.num_series,
             "series_ids": list(result.series_ids) if result.series_ids else None,
             "stats": stats_to_wire(result.stats),
         }
     elif kind == "topk":
-        windows = [
-            {
-                "index": window.window_index,
-                "rows": window.rows.tolist(),
-                "cols": window.cols.tolist(),
-                "values": window.values.tolist(),
-            }
-            for window in result.windows
-        ]
+        windows = _pack_sparse([w.window_index for w in result.windows], result.windows)
         extras = {"k": result.k, "absolute": result.absolute}
     elif kind == "lagged":
-        windows = [
-            {
-                "index": window.window_index,
-                "best_corr": window.best_corr.tolist(),
-                "best_lag": window.best_lag.tolist(),
-            }
-            for window in result.windows
-        ]
+        windows = {
+            "index": [w.window_index for w in result.windows],
+            "best_corr": _pack([w.best_corr for w in result.windows], _VALUE_WIRE),
+            "best_lag": _pack([w.best_lag for w in result.windows], _LAG_WIRE),
+        }
         extras = {"num_series": result.num_series}
     else:
         raise ServiceError(
@@ -257,9 +324,10 @@ def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, 
 def result_from_wire(payload: Dict[str, object]) -> AnyResult:
     """Reconstruct the typed result object from a wire document.
 
-    The reconstruction is exact: arrays, query fields and engine statistics
-    come back bit-identical, so ``describe()``/``to_edges()`` of the parsed
-    result match the original's.
+    The reconstruction is exact: arrays come back byte-identical (``-0.0``
+    and NaN payloads included) as owned, writeable ``int64``/``float64``
+    arrays, and query fields and engine statistics come back equal, so
+    ``describe()``/``to_edges()`` of the parsed result match the original's.
     """
     if not isinstance(payload, dict):
         raise ServiceError(f"result document must be a JSON object, got {type(payload).__name__}")
@@ -269,32 +337,25 @@ def result_from_wire(payload: Dict[str, object]) -> AnyResult:
             f"unsupported result schema {schema!r} (this client speaks {RESULT_SCHEMA!r})"
         )
     kind = payload.get("kind")
+    if kind not in _MODES:
+        raise ServiceError(f"unknown result kind {kind!r} (expected one of {_MODES})")
     try:
         query = query_from_wire(payload["query"])
         windows = payload["windows"]
+        index = [int(k) for k in windows["index"]]
         if kind == "threshold":
             num_series = int(payload["num_series"])
             matrices = [
-                ThresholdedMatrix(
-                    num_series,
-                    np.asarray(w["rows"], dtype=np.int64),
-                    np.asarray(w["cols"], dtype=np.int64),
-                    np.asarray(w["values"], dtype=np.float64),
-                )
-                for w in windows
+                ThresholdedMatrix(num_series, rows, cols, values)
+                for rows, cols, values in _unpack_sparse(windows, len(index))
             ]
             series_ids = payload.get("series_ids")
             stats = stats_from_wire(payload.get("stats") or {})
             return CorrelationSeriesResult(query, matrices, stats=stats, series_ids=series_ids)
         if kind == "topk":
             topk_windows = [
-                TopKWindow(
-                    int(w["index"]),
-                    np.asarray(w["rows"], dtype=np.int64),
-                    np.asarray(w["cols"], dtype=np.int64),
-                    np.asarray(w["values"], dtype=np.float64),
-                )
-                for w in windows
+                TopKWindow(k, rows, cols, values)
+                for k, (rows, cols, values) in zip(index, _unpack_sparse(windows, len(index)))
             ]
             return TopKResult(
                 query=query,
@@ -302,16 +363,15 @@ def result_from_wire(payload: Dict[str, object]) -> AnyResult:
                 absolute=bool(payload["absolute"]),
                 windows=topk_windows,
             )
-        if kind == "lagged":
-            lag_windows = [
-                LagMatrices(
-                    window_index=int(w["index"]),
-                    best_corr=np.asarray(w["best_corr"], dtype=np.float64),
-                    best_lag=np.asarray(w["best_lag"], dtype=np.int64),
-                )
-                for w in windows
-            ]
-            return LaggedSeriesResult(query, lag_windows)
-    except (KeyError, TypeError, ValueError) as error:
-        raise ServiceError(f"malformed result document: {error}") from error
-    raise ServiceError(f"unknown result kind {kind!r} (expected one of {_MODES})")
+        num_series = int(payload["num_series"])
+        shape = (num_series, num_series)
+        sizes = [num_series * num_series] * len(index)
+        best_corr = _unpack(windows["best_corr"], _VALUE_WIRE, np.float64, sizes, shape)
+        best_lag = _unpack(windows["best_lag"], _LAG_WIRE, np.int64, sizes, shape)
+        lag_windows = [
+            LagMatrices(window_index=k, best_corr=corr, best_lag=lag)
+            for k, corr, lag in zip(index, best_corr, best_lag)
+        ]
+        return LaggedSeriesResult(query, lag_windows)
+    except (KeyError, TypeError, ValueError, DataValidationError) as error:
+        raise _malformed(str(error)) from error

@@ -160,7 +160,7 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
 
 # --------------------------------------------------------------------------
 # Scenario-matrix smoke: the newly-supported execution cells served over
-# ``repro.result/v1``.  A second server is sized so ``workers=2`` requests
+# ``repro.result/v2``.  A second server is sized so ``workers=2`` requests
 # clear the parallel pair floor (96 series = 4560 pairs) and configured with
 # a memory budget below the dense matrix, so top-k sketches build tiled and
 # lagged queries stream their window buffers — while a pruned (deterministic

@@ -7,7 +7,9 @@ over a real socket.
 """
 
 import json
+import threading
 import urllib.error
+from dataclasses import replace
 import urllib.request
 
 import numpy as np
@@ -15,7 +17,13 @@ import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.exceptions import ServiceError
-from repro.service import CorrelationServer, CorrelationService, ServiceClient
+from repro.service import (
+    CorrelationServer,
+    CorrelationService,
+    ServiceClient,
+    result_from_wire,
+)
+from repro.service.batching import exact_scan_options
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -77,6 +85,50 @@ class TestRoutes:
         assert remote.to_edges() == local.to_edges()
         assert remote.num_windows == local.num_windows
 
+    @pytest.mark.parametrize("service_workers", [None, 2])
+    def test_batch_member_is_bit_identical_to_exact_local_run(
+        self, tmp_path, values, service_workers
+    ):
+        # Two thresholds sent together share one exact scan; each member's
+        # HTTP answer must equal its own in-process exact run byte for byte.
+        store = ChunkStore(NUM_SERIES, chunk_columns=64)
+        store.append(values)
+        catalog = Catalog(tmp_path)
+        catalog.add_dataset("demo", store, description="batched http test data")
+        service = CorrelationService(catalog, basic_window_size=BASIC,
+                                     service_workers=service_workers,
+                                     batch_window_seconds=0.5)
+        queries = [replace(QUERY, threshold=t) for t in (0.4, 0.9)]
+        documents = {}
+        with CorrelationServer(service) as server:
+            client = ServiceClient(server.url)
+            barrier = threading.Barrier(len(queries))
+
+            def fetch(query):
+                barrier.wait(timeout=10)
+                documents[query.threshold] = client.query_raw("demo", query)
+
+            threads = [threading.Thread(target=fetch, args=(q,)) for q in queries]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert documents[0.9]["batch"] == {"floor_threshold": 0.4, "members": 2}
+        exact = CorrelationSession(
+            TimeSeriesMatrix(values, series_ids=store.series_ids),
+            engine_options=exact_scan_options("dangoron", {}),
+            basic_window_size=BASIC,
+        )
+        for query in queries:
+            remote = result_from_wire(documents[query.threshold])
+            local = exact.run(query)
+            assert remote.total_edges() == local.total_edges() > 0
+            for mine, theirs in zip(remote.matrices, local.matrices):
+                for field in ("rows", "cols", "values"):
+                    assert (getattr(mine, field).tobytes()
+                            == getattr(theirs, field).tobytes())
+
     def test_query_raw_carries_plan_and_dataset(self, client):
         document = client.query_raw("demo", QUERY, include_edges=True)
         assert document["dataset"] == "demo"
@@ -137,6 +189,26 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length_is_400(self, server, length):
+        # Checked before reading: a non-numeric length used to surface as a
+        # 500, and a negative one blocked the handler until the client left.
+        import http.client
+
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            connection.putrequest("POST", "/datasets/demo/query")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            body = json.loads(response.read().decode("utf-8"))
+            assert body["error"]["type"] == "ServiceError"
+            assert "Content-Length" in body["error"]["message"]
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
 
     def test_error_responses_close_the_connection(self, server):
         # Errors can leave an unread request body on a keep-alive socket

@@ -42,7 +42,7 @@ def test_budgeted_service_answers_identically(catalog):
     assert "build=tiled" in tiled_doc["plan"]
     assert "build=tiled" not in dense_doc["plan"]
     # Identical wire payload apart from the plan line: tiled execution is
-    # invisible to repro.result/v1 clients.
+    # invisible to repro.result/v2 clients.
     assert tiled_doc["windows"] == dense_doc["windows"]
     assert tiled_doc["num_windows"] == dense_doc["num_windows"]
 

@@ -5,7 +5,9 @@ The wire layer's contract is exactness: serializing through real JSON text
 for bit — same query, same arrays, same edges, same describe().
 """
 
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.api import (
     ThresholdQuery,
     TopKQuery,
 )
+from repro.core.lag import LagMatrices
 from repro.core.query import SlidingQuery, THRESHOLD_ABSOLUTE
 from repro.core.result import CorrelationSeriesResult, EngineStats, ThresholdedMatrix
 from repro.exceptions import QueryValidationError, ServiceError
@@ -30,6 +33,10 @@ from repro.service.wire import (
     result_to_wire,
 )
 from repro.timeseries.matrix import TimeSeriesMatrix
+
+
+def _b64(data) -> str:
+    return base64.b64encode(bytes(data)).decode("ascii")
 
 
 def json_round_trip(document):
@@ -182,6 +189,49 @@ class TestResultRoundTrip:
         assert parsed.series_ids == ["left", "right"]
 
 
+def small_document(kind):
+    """A valid three-window threshold or lagged document over three series."""
+    query_fields = dict(start=0, end=64, window=32, step=16, threshold=0.5)
+    if kind == "threshold":
+        query = ThresholdQuery(**query_fields)
+        matrices = [ThresholdedMatrix(3, [0, 1], [1, 2], [0.75, -0.5])
+                    for _ in range(query.num_windows)]
+        result = CorrelationSeriesResult(query, matrices)
+    else:
+        query = LaggedQuery(max_lag=1, **query_fields)
+        result = LaggedSeriesResult(query, [
+            LagMatrices(k, np.eye(3), np.zeros((3, 3), dtype=np.int64))
+            for k in range(query.num_windows)
+        ])
+    return json_round_trip(result_to_wire(result))
+
+
+#: ``(case, kind, corruption, expected reason)`` for malformed documents.
+MALFORMED_CASES = [
+    ("v1 window list", "threshold",
+     lambda d: d.update(windows=[{"rows": [0]}]), ""),
+    ("not base64", "threshold",
+     lambda d: d["windows"].update(rows="not base64!"), "not base64"),
+    ("partial item", "threshold",
+     lambda d: d["windows"].update(values=_b64(b"\0" * 20)),
+     "whole number of 8-byte items"),
+    ("buffer vs counts", "threshold",
+     lambda d: d["windows"]["counts"].__setitem__(0, 3), "windows declare 7"),
+    ("negative count", "threshold",
+     lambda d: d["windows"].update(counts=[3, -1, 4]), "non-negative"),
+    ("index vs counts", "threshold",
+     lambda d: d["windows"]["index"].append(3), "4 window indices but 3 counts"),
+    ("row out of range", "threshold",
+     lambda d: d["windows"].update(rows=_b64(np.array([0, 1, 0, 1, 5, 1], "<u4"))),
+     "num_series"),
+    ("column out of range", "threshold",
+     lambda d: d["windows"].update(cols=_b64(np.array([1, 2, 1, 2, 1, 3], "<u4"))),
+     "num_series"),
+    ("lagged buffer vs windows", "lagged",
+     lambda d: d["windows"].update(best_lag=_b64(np.zeros(5, "<i8"))), "holds 5"),
+]
+
+
 class TestWireErrors:
     def test_schema_is_versioned(self, session):
         result = session.run(
@@ -203,11 +253,19 @@ class TestWireErrors:
             result_from_wire(document)
 
     def test_malformed_document_rejected(self):
-        with pytest.raises(ServiceError, match="malformed result document"):
-            result_from_wire({"schema": RESULT_SCHEMA, "kind": "threshold",
-                              "query": {"mode": "threshold", "start": 0, "end": 64,
-                                        "window": 32, "step": 16, "threshold": 0.5},
-                              "windows": [{"rows": [0]}]})
+        # Each case corrupts one intact document; every one must surface as
+        # the service's own error, never a bare ValueError or a wrong answer.
+        for case, kind, corrupt, reason in MALFORMED_CASES:
+            document = small_document(kind)
+            result_from_wire(json_round_trip(document))  # the intact one parses
+            corrupt(document)
+            try:
+                result_from_wire(document)
+            except ServiceError as error:
+                assert re.search(f"malformed result document: .*{reason}",
+                                 str(error)), (case, str(error))
+            else:
+                pytest.fail(f"{case}: the corrupt document was accepted")
 
     def test_unserializable_result_rejected(self):
         with pytest.raises(ServiceError, match="no wire kind"):
